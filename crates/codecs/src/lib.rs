@@ -14,7 +14,8 @@
 //! - [`inflate`]: the matching decompressor,
 //! - [`container`]: GZIP (CRC-32 trailer) and ZLIB (Adler-32 trailer)
 //!   framings,
-//! - [`checksum`]: CRC-32 (IEEE) and Adler-32,
+//! - [`checksum`]: CRC-32 (IEEE), CRC-32C (Castagnoli, for record
+//!   framing) and Adler-32,
 //! - [`Codec`]: the user-facing enum used by pipeline strategies.
 //!
 //! The implementation favours clarity over raw speed but is a real,

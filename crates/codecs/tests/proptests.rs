@@ -1,6 +1,6 @@
 //! Property tests: compression invariants over arbitrary inputs.
 
-use presto_codecs::checksum::{Adler32, Crc32};
+use presto_codecs::checksum::{Adler32, Crc32, Crc32c};
 use presto_codecs::deflate::deflate;
 use presto_codecs::inflate::inflate;
 use presto_codecs::{Codec, Level};
@@ -49,16 +49,21 @@ proptest! {
         let _ = Codec::Zlib(Level::DEFAULT).decompress(&data);
     }
 
-    /// Checksums are deterministic and chunking-independent.
+    /// Checksums are deterministic and chunking-independent. Inputs
+    /// reach past 3 × 4 KiB, where CRC-32C switches to three streams.
     #[test]
-    fn checksums_chunking_independent(data in proptest::collection::vec(any::<u8>(), 0..2048),
-                                      split in 0usize..2048) {
+    fn checksums_chunking_independent(data in proptest::collection::vec(any::<u8>(), 0..13_000),
+                                      split in 0usize..13_000) {
         let split = split.min(data.len());
         let (a, b) = data.split_at(split);
         let mut crc = Crc32::new();
         crc.update(a);
         crc.update(b);
         prop_assert_eq!(crc.finish(), Crc32::checksum(&data));
+        let mut crc32c = Crc32c::new();
+        crc32c.update(a);
+        crc32c.update(b);
+        prop_assert_eq!(crc32c.finish(), Crc32c::checksum(&data));
         let mut adler = Adler32::new();
         adler.update(a);
         adler.update(b);

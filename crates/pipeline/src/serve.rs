@@ -62,13 +62,13 @@ use crate::pipeline::Pipeline;
 use crate::real::{executable_steps, fnv64, process_shard, Deliver, Materialized};
 use crate::sample::Sample;
 use crate::store::BlobStore;
-use presto_codecs::checksum::Crc32;
 use presto_codecs::{Codec, Level};
 use presto_telemetry::fleet::mono_ns;
 use presto_telemetry::{
     EpochRecorder, FleetProgress, FleetWorkerEntry, ServeProgress, Telemetry, BUILTIN_PHASES,
     PHASE_HANDOFF, PHASE_QUEUE_WAIT,
 };
+use presto_tensor::record::{self, HEADER_LEN};
 use presto_tensor::{RecordReader, RecordWriter};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
@@ -690,16 +690,12 @@ fn read_exact_or_closed(reader: &mut impl Read, buf: &mut [u8]) -> Result<bool, 
 /// Read one frame. `Ok(None)` is a clean close at a frame boundary;
 /// every CRC/length violation is a typed [`ServeError`].
 pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, ServeError> {
-    // Record framing: [len u64][crc32(len) u32][payload][crc32(payload) u32].
-    let mut header = [0u8; 12];
+    // Record framing, verified by the same functions as shard files.
+    let mut header = [0u8; HEADER_LEN];
     if !read_exact_or_closed(reader, &mut header)? {
         return Ok(None);
     }
-    let len = u64::from_le_bytes(header[..8].try_into().unwrap());
-    let stored = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    if Crc32::checksum(&header[..8]) != stored {
-        return Err(ServeError::BadHeader);
-    }
+    let len = record::decode_header(&header).map_err(|_| ServeError::BadHeader)?;
     if len > MAX_FRAME_LEN {
         return Err(ServeError::TooLarge(len));
     }
@@ -708,10 +704,8 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, ServeError> {
         return Err(ServeError::Truncated);
     }
     let (body, crc) = payload.split_at(len as usize);
-    let stored = u32::from_le_bytes(crc.try_into().unwrap());
-    if Crc32::checksum(body) != stored {
-        return Err(ServeError::BadPayload);
-    }
+    record::check_payload(body, crc.try_into().expect("4-byte CRC"))
+        .map_err(|_| ServeError::BadPayload)?;
     Frame::decode_payload(body).map(Some)
 }
 
@@ -2342,9 +2336,7 @@ mod tests {
         assert_eq!(read_frame(&mut &[][..]), Ok(None));
 
         // Oversized declared length is rejected before allocation.
-        let mut huge = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
-        let crc = Crc32::checksum(&huge);
-        huge.extend_from_slice(&crc.to_le_bytes());
+        let mut huge = record::encode_header(MAX_FRAME_LEN + 1).to_vec();
         huge.extend_from_slice(&[0u8; 16]);
         assert_eq!(
             read_frame(&mut &huge[..]),

@@ -580,7 +580,18 @@ fn serve_admitted(
                     if matches!(frame, Frame::Batch { .. } | Frame::Batch2 { .. })
                         && !writer_gate.take(&writer_shared.gate_progress)
                     {
-                        break; // gate closed: client is gone
+                        // Gate closed: the client is gone, or the daemon
+                        // failed this tenant and queued its ERR behind
+                        // this batch (`requeue_task` queues the ERR before
+                        // it closes the gate). Deliver that ERR, or the
+                        // client waits out its read timeout instead.
+                        let queued_err = out_rx
+                            .try_iter()
+                            .find(|out| matches!(out, Out::Frame(Frame::Err { .. })));
+                        if let Some(Out::Frame(err)) = queued_err {
+                            let _ = write_frame(&mut writer, &err);
+                        }
+                        break;
                     }
                     let fatal = matches!(frame, Frame::Err { .. });
                     if write_frame(&mut writer, &frame).is_err() || fatal {
@@ -956,6 +967,10 @@ fn requeue_task(shared: &DaemonShared, dispatch: &Dispatch, charged: bool) {
         t.requeues += 1;
         shared.tenants.requeued(&t.name, 1);
         if t.requeues > shared.config.policy.max_requeues {
+            // Queue the ERR before closing the gate: a writer that finds
+            // the gate closed drains its outbox for this ERR without
+            // waiting, so the reverse order would lose it and leave the
+            // client hanging to its read timeout.
             let _ = t.outbox.send(Out::Frame(Frame::Err {
                 message: format!(
                     "tenant '{}' exhausted its fault budget ({} requeues)",

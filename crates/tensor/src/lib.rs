@@ -14,9 +14,9 @@
 //!   element types that appear in the paper's pipelines
 //!   (`u8` images, `i16` waveforms, `i32` token ids, `f32` features,
 //!   `f64` electrical signals),
-//! - [`record`]: `RecordBundle`, a TFRecord-like framed stream with
-//!   per-record CRC-32 integrity, used to materialize offline
-//!   preprocessing results.
+//! - [`record`]: `RecordBundle`, TFRecord's framed stream with
+//!   per-record masked CRC-32C integrity, used to materialize offline
+//!   preprocessing results and to frame the serve wire protocol.
 //!
 //! Decoding a record has a fixed per-record overhead plus a per-byte
 //! cost — the property behind the paper's Figures 7, 9 and 11.

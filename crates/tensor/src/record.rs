@@ -1,22 +1,67 @@
-//! `RecordBundle`: a TFRecord-like framed record stream.
+//! `RecordBundle`: a TFRecord framed record stream.
 //!
 //! Layout per record (all integers little-endian):
 //!
 //! ```text
-//! [len: u64][len_crc: u32][payload: len bytes][payload_crc: u32]
+//! [len: u64][masked_crc32c(len): u32][payload: len bytes][masked_crc32c(payload): u32]
 //! ```
 //!
-//! This mirrors TFRecord's structure (which uses masked CRC-32C); the
-//! integrity and framing properties — and crucially the *fixed
-//! per-record decode overhead* — are the same. The paper concatenates
-//! datasets into such streams to convert random file access into
-//! sequential reads (its "concatenated" strategy).
+//! This is TFRecord's byte format: both checksums are CRC-32C, masked
+//! as TFRecord masks them, so a stream written here reads as a TFRecord
+//! file and vice versa. The paper concatenates datasets into such
+//! streams to convert random file access into sequential reads (its
+//! "concatenated" strategy), and the fixed per-record decode overhead
+//! is the same as TFRecord's.
+//!
+//! Shard files and the serve wire protocol's frames share this framing;
+//! [`encode_header`], [`decode_header`] and [`check_payload`] let code
+//! that reads frames from a socket verify them without naming the CRC.
 
-use presto_codecs::checksum::Crc32;
+use presto_codecs::checksum::Crc32c;
 use std::fmt;
 
+/// Bytes of the `[len][len_crc]` header in front of every payload.
+pub const HEADER_LEN: usize = 8 + 4;
+
 /// Framing overhead added to every record, in bytes.
-pub const RECORD_OVERHEAD: usize = 8 + 4 + 4;
+pub const RECORD_OVERHEAD: usize = HEADER_LEN + 4;
+
+/// TFRecord's masked CRC-32C, `((c >> 15) | (c << 17)) + 0xA282EAD8`.
+/// Rotating and offsetting the CRC keeps a stream that embeds its own
+/// CRCs (a record of records) from checking trivially.
+fn masked_crc(data: &[u8]) -> u32 {
+    Crc32c::checksum(data)
+        .rotate_right(15)
+        .wrapping_add(0xA282_EAD8)
+}
+
+/// The header that frames a `len`-byte payload.
+pub fn encode_header(len: u64) -> [u8; HEADER_LEN] {
+    let len_bytes = len.to_le_bytes();
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(&len_bytes);
+    header[8..].copy_from_slice(&masked_crc(&len_bytes).to_le_bytes());
+    header
+}
+
+/// The payload length `header` declares, when its CRC holds.
+pub fn decode_header(header: &[u8; HEADER_LEN]) -> Result<u64, RecordError> {
+    let (len_bytes, crc) = header.split_at(8);
+    if masked_crc(len_bytes).to_le_bytes() != crc {
+        return Err(RecordError::BadLengthCrc);
+    }
+    Ok(u64::from_le_bytes(
+        len_bytes.try_into().expect("8-byte length"),
+    ))
+}
+
+/// Check `payload` against the 4-byte CRC that follows it on the wire.
+pub fn check_payload(payload: &[u8], crc: [u8; 4]) -> Result<(), RecordError> {
+    if masked_crc(payload).to_le_bytes() != crc {
+        return Err(RecordError::BadPayloadCrc);
+    }
+    Ok(())
+}
 
 /// Errors from reading a record stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,14 +117,11 @@ impl RecordWriter {
 
     /// Append one record.
     pub fn write(&mut self, payload: &[u8]) {
-        let len = payload.len() as u64;
-        let len_bytes = len.to_le_bytes();
-        self.buf.extend_from_slice(&len_bytes);
         self.buf
-            .extend_from_slice(&Crc32::checksum(&len_bytes).to_le_bytes());
+            .extend_from_slice(&encode_header(payload.len() as u64));
         self.buf.extend_from_slice(payload);
         self.buf
-            .extend_from_slice(&Crc32::checksum(payload).to_le_bytes());
+            .extend_from_slice(&masked_crc(payload).to_le_bytes());
         self.records += 1;
     }
 
@@ -123,24 +165,17 @@ impl<'a> RecordReader<'a> {
 
     fn read_one(&mut self) -> Result<&'a [u8], RecordError> {
         let remaining = &self.data[self.pos..];
-        if remaining.len() < 12 {
-            return Err(RecordError::UnexpectedEof);
-        }
-        let len_bytes: [u8; 8] = remaining[0..8].try_into().unwrap();
-        let stored_crc = u32::from_le_bytes(remaining[8..12].try_into().unwrap());
-        if Crc32::checksum(&len_bytes) != stored_crc {
-            return Err(RecordError::BadLengthCrc);
-        }
-        let len = u64::from_le_bytes(len_bytes) as usize;
-        if remaining.len() < 12 + len + 4 {
-            return Err(RecordError::UnexpectedEof);
-        }
-        let payload = &remaining[12..12 + len];
-        let payload_crc = u32::from_le_bytes(remaining[12 + len..12 + len + 4].try_into().unwrap());
-        if Crc32::checksum(payload) != payload_crc {
-            return Err(RecordError::BadPayloadCrc);
-        }
-        self.pos += 12 + len + 4;
+        let header = remaining
+            .first_chunk::<HEADER_LEN>()
+            .ok_or(RecordError::UnexpectedEof)?;
+        let len = decode_header(header)?;
+        let record = usize::try_from(len)
+            .ok()
+            .and_then(|len| remaining.get(HEADER_LEN..)?.get(..len.checked_add(4)?))
+            .ok_or(RecordError::UnexpectedEof)?;
+        let (payload, crc) = record.split_at(record.len() - 4);
+        check_payload(payload, crc.try_into().expect("4-byte CRC"))?;
+        self.pos += HEADER_LEN + record.len();
         Ok(payload)
     }
 
@@ -156,18 +191,14 @@ impl<'a> RecordReader<'a> {
     pub fn resync(&mut self) -> usize {
         let start = self.pos;
         if let Some(len) = self.intact_header_at(self.pos) {
-            if self.pos + RECORD_OVERHEAD + len <= self.data.len() {
-                self.pos += RECORD_OVERHEAD + len;
-                return self.pos - start;
-            }
+            self.pos += RECORD_OVERHEAD + len;
+            return self.pos - start;
         }
         let mut pos = self.pos + 1;
         while pos < self.data.len() {
-            if let Some(len) = self.intact_header_at(pos) {
-                if pos + RECORD_OVERHEAD + len <= self.data.len() {
-                    self.pos = pos;
-                    return pos - start;
-                }
+            if self.intact_header_at(pos).is_some() {
+                self.pos = pos;
+                return pos - start;
             }
             pos += 1;
         }
@@ -176,18 +207,12 @@ impl<'a> RecordReader<'a> {
     }
 
     /// The record length at `pos`, when a CRC-valid length header
-    /// starts there.
+    /// starts there and declares a record that fits in the stream.
     fn intact_header_at(&self, pos: usize) -> Option<usize> {
         let remaining = self.data.get(pos..)?;
-        if remaining.len() < 12 {
-            return None;
-        }
-        let len_bytes: [u8; 8] = remaining[0..8].try_into().unwrap();
-        let stored_crc = u32::from_le_bytes(remaining[8..12].try_into().unwrap());
-        if Crc32::checksum(&len_bytes) != stored_crc {
-            return None;
-        }
-        Some(u64::from_le_bytes(len_bytes) as usize)
+        let len = usize::try_from(decode_header(remaining.first_chunk()?).ok()?).ok()?;
+        let room = remaining.len().checked_sub(RECORD_OVERHEAD)?;
+        (len <= room).then_some(len)
     }
 
     /// Collect all remaining records.
@@ -227,6 +252,21 @@ mod tests {
         for (got, want) in records.iter().zip(&payloads) {
             assert_eq!(got, &want.as_slice());
         }
+    }
+
+    #[test]
+    fn single_record_matches_tfrecord_bytes() {
+        // Raw CRC-32C of the length bytes and of "abc", then masked.
+        assert_eq!(Crc32c::checksum(&3u64.to_le_bytes()), 0x576C_35E3);
+        assert_eq!(Crc32c::checksum(b"abc"), 0x364B_3FB7);
+        let mut writer = RecordWriter::new();
+        writer.write(b"abc");
+        let mut want = vec![3, 0, 0, 0, 0, 0, 0, 0];
+        want.extend_from_slice(&0x0E49_99B0u32.to_le_bytes());
+        want.extend_from_slice(b"abc");
+        want.extend_from_slice(&0x21F1_576Eu32.to_le_bytes());
+        assert_eq!(want.len(), 19);
+        assert_eq!(writer.finish(), want);
     }
 
     #[test]

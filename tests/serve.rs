@@ -3,7 +3,6 @@
 //! equality between single-process and multi-worker epochs, and
 //! seed-matrixed worker-kill failover.
 
-use presto_codecs::checksum::Crc32;
 use presto_datasets::generators;
 use presto_datasets::steps;
 use presto_formats::image::jpg;
@@ -17,6 +16,7 @@ use presto_pipeline::serve::{
 use presto_pipeline::{
     FaultPolicy, Pipeline, PipelineError, Resilience, Sample, Strategy, Telemetry,
 };
+use presto_tensor::record;
 use std::sync::Arc;
 
 /// Fault seeds under test; CI sweeps one at a time via `FAULT_SEED`.
@@ -107,9 +107,7 @@ fn batch_frames_round_trip_zero_length_and_max_size() {
     write_frame(&mut wire, &huge).unwrap();
     assert_eq!(read_frame(&mut &wire[..]).unwrap(), Some(huge));
 
-    let over = (MAX_FRAME_LEN + 1).to_le_bytes();
-    let mut wire = over.to_vec();
-    wire.extend_from_slice(&Crc32::checksum(&over).to_le_bytes());
+    let wire = record::encode_header(MAX_FRAME_LEN + 1);
     assert_eq!(
         read_frame(&mut &wire[..]),
         Err(ServeError::TooLarge(MAX_FRAME_LEN + 1))
